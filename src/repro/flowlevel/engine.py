@@ -11,8 +11,9 @@ instead of thousands, which is what buys the 100× flow-count headroom.
 The tier plugs into everything the packet tier already defined:
 
 * the same :class:`~repro.sim.engine.Simulator` event core and timer wheel
-  (completion deadlines are re-armable timers; same-time arrivals coalesce
-  into a single rate recomputation),
+  (one engine-level timer, re-armed at the earliest completion deadline on
+  every recomputation, completes every flow due at that instant; same-time
+  arrivals coalesce into a single rate recomputation),
 * the same topology construction, fault schedules and seed streams,
 * the same :class:`~repro.metrics.collector.ExperimentMetrics` /
   :class:`~repro.metrics.records.FlowRecord` surface, so reports, stores and
@@ -43,6 +44,8 @@ from __future__ import annotations
 import time as _wallclock
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.collector import ExperimentMetrics
 from repro.metrics.records import FlowRecord
@@ -65,39 +68,33 @@ from repro.flowlevel.fabric import FluidFabric, FluidFaultApplier, Link, LinkPat
 
 
 class _FluidFlow:
-    """Live state of one transfer inside the fluid engine."""
+    """One transfer inside the fluid engine: its spec, paths and lifecycle.
 
-    __slots__ = (
-        "spec",
-        "subflow_paths",
-        "weight",
-        "overhead_s",
-        "remaining_bits",
-        "rate_bps",
-        "subflow_rates",
-        "active",
-        "started",
-        "completed_at",
-        "timer",
-    )
+    The drain state — remaining bits, rate, completion deadline — lives in
+    the engine's arrays at position ``index`` (the flow's rank by flow id).
+    """
+
+    __slots__ = ("spec", "subflow_paths", "overhead_s", "index", "started", "completed_at")
 
     def __init__(self, spec: FlowSpec, subflow_paths: List[LinkPath], overhead_s: float):
         self.spec = spec
         self.subflow_paths = subflow_paths
-        #: Per-subflow weight; the flow's total max-min weight is always 1.0.
-        self.weight = 1.0 / len(subflow_paths)
         self.overhead_s = overhead_s
-        self.remaining_bits = spec.size_bytes * 8.0
-        self.rate_bps = 0.0
-        self.subflow_rates: List[float] = [0.0] * len(subflow_paths)
-        self.active = False
+        self.index = 0
         self.started = False
         self.completed_at: Optional[float] = None
-        self.timer = None
 
 
 class FlowLevelEngine:
-    """Bandwidth-sharing execution of one experiment's workload."""
+    """Bandwidth-sharing execution of one experiment's workload.
+
+    Flow state is held in arrays in flow-id order: per flow the remaining
+    bits, rate, completion deadline and an active mask; per subflow (a
+    max-min participant) its flow, weight and rate; per (subflow, link)
+    *entry* the link index.  Each flow's subflows, and each subflow's
+    entries, are contiguous, so array order is exactly the sorted
+    ``(flow_id, subflow)`` order the allocation and accounting walk.
+    """
 
     def __init__(
         self,
@@ -119,12 +116,51 @@ class FlowLevelEngine:
             paths = self._subflow_paths(spec, rng)
             overhead = self._startup_overhead_s(spec, paths[0])
             self.flows.append(_FluidFlow(spec, paths, overhead))
-        self._active: Dict[int, _FluidFlow] = {}
+
+        link_index = fabric.link_index
+        self._by_index = sorted(self.flows, key=lambda flow: flow.spec.flow_id)
+        #: ``_subflow_start[i]:_subflow_start[i + 1]`` are flow ``i``'s subflows.
+        self._subflow_start = [0]
+        subflow_flow: List[int] = []
+        subflow_weight: List[float] = []
+        entry_link: List[int] = []
+        entry_subflow: List[int] = []
+        size_bits: List[float] = []
+        for index, flow in enumerate(self._by_index):
+            flow.index = index
+            count = len(flow.subflow_paths)
+            for path in flow.subflow_paths:
+                # A shortest path never repeats a link, so every entry is a
+                # distinct (subflow, link) pair, as the solver requires.
+                entry_subflow.extend([len(subflow_flow)] * len(path))
+                entry_link.extend([link_index[link] for link in path])
+                subflow_flow.append(index)
+            # Per-subflow weight; the flow's total max-min weight is 1.0.
+            subflow_weight.extend([1.0 / count] * count)
+            self._subflow_start.append(len(subflow_flow))
+            size_bits.append(flow.spec.size_bytes * 8.0)
+
+        flow_count = len(self._by_index)
+        self._remaining = np.array(size_bits, dtype=float)
+        self._rate = np.zeros(flow_count)
+        self._deadline = np.full(flow_count, np.inf)
+        self._active = np.zeros(flow_count, dtype=bool)
+        self._subflow_flow = np.array(subflow_flow, dtype=np.intp)
+        self._subflow_weight = np.array(subflow_weight, dtype=float)
+        self._subflow_rate = np.zeros(len(subflow_flow))
+        self._entry_link = np.array(entry_link, dtype=np.intp)
+        self._entry_subflow = np.array(entry_subflow, dtype=np.intp)
+        #: Entries of the subflows the last allocation covered: what
+        #: ``_drain_to`` credits carried bits to.
+        self._live_links = self._entry_link[:0]
+        self._live_subflows = self._entry_subflow[:0]
+        #: Integral of bits carried per link index (utilisation metrics).
+        self._carried = np.zeros(len(fabric.links))
+        #: One timer for every flow: armed at the earliest deadline.
+        self._completion = self.simulator.timer(self._on_completion)
         self._last_update = 0.0
         self._recompute_pending = False
         self._recomputes = 0
-        #: Integral of bits carried per directed link (utilisation metrics).
-        self._carried_bits: Dict[Link, float] = {}
         self.fault_applier: Optional[FluidFaultApplier] = None
 
     # ------------------------------------------------------------------
@@ -194,19 +230,26 @@ class FlowLevelEngine:
 
     def _on_arrival(self, flow: _FluidFlow) -> None:
         flow.started = True
-        flow.active = True
-        flow.timer = self.simulator.timer(self._on_complete)
-        self._active[flow.spec.flow_id] = flow
+        self._active[flow.index] = True
         self._mark_dirty()
 
-    def _on_complete(self, flow: _FluidFlow) -> None:
+    def _on_completion(self) -> None:
+        """Complete every flow whose deadline is now, in flow-id order.
+
+        Every deadline was set by the latest recompute, and the timer was
+        armed after the arrivals and faults queued for this instant, so
+        those run first; the recompute scheduled here runs after.
+        """
         now = self.simulator.now
         self._drain_to(now)
-        flow.remaining_bits = 0.0
-        flow.completed_at = now
-        flow.active = False
-        flow.rate_bps = 0.0
-        del self._active[flow.spec.flow_id]
+        done = np.flatnonzero(self._deadline == now)
+        self._remaining[done] = 0.0
+        self._rate[done] = 0.0
+        self._deadline[done] = np.inf
+        self._active[done] = False
+        for index in done.tolist():
+            self._by_index[index].completed_at = now
+            self._subflow_rate[self._subflow_start[index]:self._subflow_start[index + 1]] = 0.0
         self._mark_dirty()
 
     def _mark_dirty(self) -> None:
@@ -229,68 +272,77 @@ class FlowLevelEngine:
     # ------------------------------------------------------------------
 
     def _drain_to(self, now: float) -> None:
-        """Advance every active flow by its current rate up to ``now``."""
+        """Advance every active flow by its current rate up to ``now``.
+
+        Idle and finished flows have rate zero, so the whole-array update
+        leaves them unchanged; ``np.add.at`` credits each entry's bits one
+        at a time in entry order, the (flow id, subflow, hop) order.
+        """
         dt = now - self._last_update
         if dt > 0.0:
-            carried = self._carried_bits
-            for flow_id in sorted(self._active):
-                flow = self._active[flow_id]
-                if flow.rate_bps > 0.0:
-                    flow.remaining_bits = max(0.0, flow.remaining_bits - flow.rate_bps * dt)
-                for path, rate in zip(flow.subflow_paths, flow.subflow_rates):
-                    if rate > 0.0:
-                        bits = rate * dt
-                        for link in path:
-                            carried[link] = carried.get(link, 0.0) + bits
+            np.maximum(0.0, self._remaining - self._rate * dt, out=self._remaining)
+            bits = self._subflow_rate * dt
+            np.add.at(self._carried, self._live_links, bits[self._live_subflows])
         self._last_update = now
 
     def _recompute(self) -> None:
-        """Re-solve the max-min allocation and re-arm completion deadlines."""
+        """Re-solve the max-min allocation and re-arm the completion timer."""
         now = self.simulator.now
         self._drain_to(now)
         self._recomputes += 1
+        active = self._active
         probes = self.probes
         if probes.enabled:
             probes.count("fluid.recomputes")
-            probes.sample("fluid.active_flows", now, len(self._active))
-        paths: Dict[Tuple[int, int], LinkPath] = {}
-        weights: Dict[Tuple[int, int], float] = {}
-        for flow_id in sorted(self._active):
-            flow = self._active[flow_id]
-            for index, path in enumerate(flow.subflow_paths):
-                key = (flow_id, index)
-                paths[key] = path
-                weights[key] = flow.weight
-        rates = max_min_rates(self.fabric.capacities(), paths, weights)
-        for flow_id in sorted(self._active):
-            flow = self._active[flow_id]
-            total = 0.0
-            for index in range(len(flow.subflow_paths)):
-                rate = rates[(flow_id, index)]
-                flow.subflow_rates[index] = rate
-                total += rate
-            flow.rate_bps = total
-            if total > 0.0:
-                flow.timer.arm(flow.remaining_bits / total, flow)
-            else:
-                # Stalled (every subflow crosses a dead link): no deadline
-                # until a fault or departure frees capacity.
-                flow.timer.cancel()
+            probes.sample("fluid.active_flows", now, int(np.count_nonzero(active)))
+        subflow_active = active[self._subflow_flow]
+        entry_active = subflow_active[self._entry_subflow]
+        self._live_links = self._entry_link[entry_active]
+        self._live_subflows = self._entry_subflow[entry_active]
+        participant = np.cumsum(subflow_active) - 1
+        rates = max_min_rates(
+            self.fabric.capacity_bps,
+            self._live_links,
+            participant[self._live_subflows],
+            self._subflow_weight[subflow_active],
+        )
+        self._subflow_rate.fill(0.0)
+        self._subflow_rate[subflow_active] = rates
+        # bincount sums each flow's subflow rates in subflow order.
+        self._rate = np.bincount(
+            self._subflow_flow[subflow_active], weights=rates, minlength=active.size
+        )
+        # Stalled flows (every subflow crosses a dead link) get no deadline
+        # until a fault or departure frees capacity.
+        moving = self._rate > 0.0
+        self._deadline.fill(np.inf)
+        self._deadline[moving] = now + self._remaining[moving] / self._rate[moving]
+        if moving.any():
+            self._completion.arm_at(float(self._deadline.min()))
+        else:
+            self._completion.cancel()
 
     # ------------------------------------------------------------------
     # Result extraction
     # ------------------------------------------------------------------
 
     def finalise(self, horizon_s: float) -> ExperimentMetrics:
-        """Drain to the horizon and assemble the packet-compatible metrics."""
-        if horizon_s > self._last_update:
-            self._drain_to(horizon_s)
+        """Drain to where the run stopped and assemble the packet-compatible metrics.
+
+        A run cut short by ``max_events`` or a wallclock limit stops before
+        the horizon; flows are drained only up to the simulator's clock, so
+        no traffic is reported past the last simulated event.
+        """
+        stop = min(horizon_s, self.simulator.now)
+        if stop > self._last_update:
+            self._drain_to(stop)
+        remaining = self._remaining.tolist()
         metrics = ExperimentMetrics(duration_s=horizon_s)
-        metrics.flows = [self._record_for(flow) for flow in self.flows]
+        metrics.flows = [self._record_for(flow, remaining[flow.index]) for flow in self.flows]
         metrics.network = self._snapshot(horizon_s)
         return metrics
 
-    def _record_for(self, flow: _FluidFlow) -> FlowRecord:
+    def _record_for(self, flow: _FluidFlow, remaining_bits: float) -> FlowRecord:
         spec = flow.spec
         record = FlowRecord(
             flow_id=spec.flow_id,
@@ -304,7 +356,7 @@ class FlowLevelEngine:
             record.sender_completion_time = flow.completed_at
             record.bytes_received = spec.size_bytes
         else:
-            delivered_bits = spec.size_bytes * 8.0 - flow.remaining_bits
+            delivered_bits = spec.size_bytes * 8.0 - remaining_bits
             record.bytes_received = max(0, int(delivered_bits // 8))
         # The fluid model has no segments; report the packets an ideal
         # (loss-free, no-retransmit) sender would have emitted.
@@ -314,25 +366,22 @@ class FlowLevelEngine:
 
     def _snapshot(self, horizon_s: float) -> NetworkSnapshot:
         """A loss-free :class:`NetworkSnapshot` from the rate integrals."""
+        fabric = self.fabric
         snapshot = NetworkSnapshot(duration_s=horizon_s)
-        layer_links: Dict[str, List[Link]] = {}
+        layer_links: Dict[str, List[Tuple[Link, float]]] = {}
         total_bits = 0.0
-        for link in sorted(self.fabric.rate_bps):
-            layer = self.fabric.layer_of[link]
+        for link, carried in zip(fabric.links, self._carried.tolist()):
+            layer = fabric.layer_of[link]
             if layer != "host":
                 snapshot.layer_loss.setdefault(layer, LayerLossStats(layer))
-            layer_links.setdefault(layer, []).append(link)
-            total_bits += self._carried_bits.get(link, 0.0)
+            layer_links.setdefault(layer, []).append((link, carried))
+            total_bits += carried
         for layer in ("core", "edge"):
             links = layer_links.get(layer, [])
             if links and horizon_s > 0:
                 utilisation = sum(
-                    min(
-                        1.0,
-                        self._carried_bits.get(link, 0.0)
-                        / (self.fabric.original_rate_bps[link] * horizon_s),
-                    )
-                    for link in links
+                    min(1.0, carried / (fabric.original_rate_bps[link] * horizon_s))
+                    for link, carried in links
                 ) / len(links)
                 if layer == "core":
                     snapshot.core_utilisation = utilisation

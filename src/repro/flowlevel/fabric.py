@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.net.faults import (
     DEGRADE,
@@ -79,6 +80,13 @@ class FluidFabric:
                 else:
                     self.layer_of[link] = "host"
         self._path_cache: Dict[Tuple[str, str], List[LinkPath]] = {}
+        #: Directed links in sorted order; a link's position is its index in
+        #: the solver's arrays.
+        self.links: List[Link] = sorted(self.rate_bps)
+        self.link_index: Dict[Link, int] = {link: i for i, link in enumerate(self.links)}
+        #: Effective capacity per link index (solver input), kept current by
+        #: :meth:`refresh_capacity` as faults change rates and states.
+        self.capacity_bps = np.array([self.capacity(link) for link in self.links], dtype=float)
 
     # ------------------------------------------------------------------
     # Capacities
@@ -88,10 +96,9 @@ class FluidFabric:
         """Effective capacity of one directed link (0 while it is down)."""
         return self.rate_bps[link] if self.up[link] else 0.0
 
-    def capacities(self) -> Dict[Link, float]:
-        """Effective capacity of every directed link (solver input)."""
-        return {link: self.rate_bps[link] if self.up[link] else 0.0
-                for link in self.rate_bps}
+    def refresh_capacity(self, link: Link) -> None:
+        """Re-derive ``capacity_bps`` for ``link`` after its rate or state changed."""
+        self.capacity_bps[self.link_index[link]] = self.capacity(link)
 
     # ------------------------------------------------------------------
     # Paths
@@ -207,6 +214,8 @@ class FluidFaultApplier:
                 original_ab, original_ba = self._original_rates.pop(key)
                 fabric.rate_bps[link_ab] = original_ab
                 fabric.rate_bps[link_ba] = original_ba
+        fabric.refresh_capacity(link_ab)
+        fabric.refresh_capacity(link_ba)
         self.applied_events += 1
         if self.trace.enabled:
             self.trace.emit(

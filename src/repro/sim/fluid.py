@@ -1,4 +1,4 @@
-"""Deterministic (weighted) max-min fair-share allocation.
+"""Deterministic (weighted) max-min fair-share allocation over index arrays.
 
 This is the rate solver at the heart of the flow-level fidelity tier
 (:mod:`repro.flowlevel`): every active subflow is a *participant* with a
@@ -15,17 +15,23 @@ weighs exactly as much as a single-path TCP flow — the fairness goal of
 coupled congestion control — while still being able to fill several
 disjoint paths.
 
-Determinism: the solver's arithmetic is order-independent (one addition /
-subtraction per participant / link per round), and every iteration that
-*could* depend on ordering walks its keys sorted, so equal inputs produce
-bit-equal outputs on any platform and in any process.
+Input is flat arrays rather than dicts: links and participants are integer
+indices, and a path is the run of *entries* — (link, owner) pairs — that
+belong to one participant.
+
+Determinism: every floating-point operation is elementwise or a sequential
+accumulation in a fixed order.  ``np.bincount`` adds each link's weights
+one entry at a time in entry order, so entries listed participant by
+participant sum in participant order; ``np.argmin`` picks the first minimum
+in link-index order.  Equal inputs therefore produce bit-equal outputs on
+any platform and in any process — the same bits as a pure-Python
+progressive filling that walks participants and links in index order (the
+property tests hold the two equal).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple, TypeVar
-
-Key = TypeVar("Key")
+import numpy as np
 
 #: Relative tolerance (to a link's capacity) below which a link's residual
 #: capacity counts as zero.  Progressive filling drives the bottleneck
@@ -35,95 +41,89 @@ _SATURATION_EPSILON = 1e-9
 
 
 def max_min_rates(
-    capacities: Mapping[str, float],
-    paths: Mapping[Key, Sequence[str]],
-    weights: Optional[Mapping[Key, float]] = None,
-) -> Dict[Key, float]:
+    capacity: np.ndarray,
+    entry_link: np.ndarray,
+    entry_owner: np.ndarray,
+    weights: np.ndarray,
+) -> np.ndarray:
     """Weighted max-min fair rates for unbounded-demand participants.
 
     Args:
-        capacities: directed link name → capacity (bits/s).  A non-positive
+        capacity: capacity (bits/s) per link index.  A non-positive
             capacity models a failed link: participants crossing it are
             pinned at rate zero (they stall; they do not free their other
             links' shares for ever — they simply hold no bandwidth).
-        paths: participant key → the directed links the participant's
-            traffic crosses.  Keys must be mutually sortable (the engine
-            uses ``(flow_id, subflow_index)`` tuples).  Duplicate links in
-            one path are collapsed — a participant cannot congest a link
-            with itself twice.
-        weights: participant key → positive weight (defaults to 1.0 for
-            every participant).  Shares on a contended link are allocated
-            proportionally to weight.
+        entry_link / entry_owner: one (link index, participant index) pair
+            per link a participant's traffic crosses, each pair at most
+            once, listed participant by participant in index order.  Every
+            participant needs an entry.
+        weights: positive weight per participant index.  Shares on a
+            contended link are allocated proportionally to weight.
 
     Returns:
-        participant key → allocated rate (bits/s), with the guarantees the
-        property tests pin: per-link allocations sum to at most the link's
-        capacity, and every participant is bottlenecked — its path crosses
-        at least one saturated link, or only dead links stalled it.
+        allocated rate (bits/s) per participant index, with the guarantees
+        the property tests pin: per-link allocations sum to at most the
+        link's capacity, and every participant is bottlenecked — its path
+        crosses at least one saturated link, or only dead links stalled it.
     """
-    link_sets: Dict[Key, Tuple[str, ...]] = {}
-    rates: Dict[Key, float] = {}
-    remaining: Dict[str, float] = {}
-    for key in sorted(paths):
-        links = tuple(dict.fromkeys(paths[key]))
-        if not links:
-            raise ValueError(f"participant {key!r} has an empty path")
-        for link in links:
-            if link not in remaining:
-                if link not in capacities:
-                    raise ValueError(f"participant {key!r} crosses unknown link {link!r}")
-                remaining[link] = max(0.0, float(capacities[link]))
-        link_sets[key] = links
-        rates[key] = 0.0
+    capacity = np.asarray(capacity, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    links = np.asarray(entry_link, dtype=np.intp)
+    owners = np.asarray(entry_owner, dtype=np.intp)
+    count = weights.size
+    link_count = capacity.size
+    rates = np.zeros(count)
+    if count == 0:
+        return rates
+    if links.size != owners.size:
+        raise ValueError("entry_link and entry_owner differ in length")
+    if links.size and (links.min() < 0 or links.max() >= link_count):
+        raise ValueError("an entry crosses an unknown link index")
+    entries_per_owner = np.bincount(owners, minlength=count)
+    if entries_per_owner.size != count or not entries_per_owner.all():
+        raise ValueError("every participant needs a non-empty path of known index")
+    if not (weights > 0.0).all():
+        raise ValueError("participant weights must be positive")
 
-    weight_of: Dict[Key, float] = {}
-    for key in sorted(link_sets):
-        weight = 1.0 if weights is None else float(weights[key])
-        if weight <= 0:
-            raise ValueError(f"participant {key!r} has non-positive weight {weight!r}")
-        weight_of[key] = weight
+    remaining = np.maximum(0.0, capacity)
+    tolerance = _SATURATION_EPSILON * np.maximum(1.0, capacity)
 
     # Participants whose path crosses a dead link never receive bandwidth.
-    active = [
-        key
-        for key in sorted(link_sets)
-        if all(remaining[link] > 0.0 for link in link_sets[key])
-    ]
+    frozen = np.zeros(count, dtype=bool)
+    frozen[owners[remaining[links] <= 0.0]] = True
+    active = np.flatnonzero(~frozen)
+    keep = ~frozen[owners]
+    links = links[keep]
+    owners = owners[keep]
+    entry_weight = weights[owners]
+    share = np.empty(link_count)
 
-    while active:
+    while active.size:
         # Aggregate unfrozen weight per link, then find the link that
         # saturates first when every unfrozen participant grows its rate by
         # ``weight * increment``.
-        link_weight: Dict[str, float] = {}
-        for key in active:
-            weight = weight_of[key]
-            for link in link_sets[key]:
-                link_weight[link] = link_weight.get(link, 0.0) + weight
-        bottleneck = ""
-        increment = -1.0
-        for link in sorted(link_weight):
-            share = remaining[link] / link_weight[link]
-            if increment < 0.0 or share < increment:
-                increment = share
-                bottleneck = link
+        link_weight = np.bincount(links, weights=entry_weight, minlength=link_count)
+        share.fill(np.inf)
+        np.divide(remaining, link_weight, out=share, where=link_weight > 0.0)
+        bottleneck = int(np.argmin(share))
+        increment = share[bottleneck]
 
-        saturated = set()
-        for link in sorted(link_weight):
-            remaining[link] -= increment * link_weight[link]
-            tolerance = _SATURATION_EPSILON * max(1.0, float(capacities[link]))
-            if remaining[link] <= tolerance:
-                remaining[link] = 0.0
-                saturated.add(link)
+        # Links no participant crosses any more lose ``increment * 0.0``
+        # (nothing) and can no longer freeze anyone, so whole-vector updates
+        # leave the allocation exactly as a crossed-links-only walk would.
+        remaining -= increment * link_weight
+        saturated = remaining <= tolerance
+        remaining[saturated] = 0.0
         # The arg-min link is saturated by construction; force it in case
         # round-off left a residual just above the tolerance.
-        saturated.add(bottleneck)
+        saturated[bottleneck] = True
 
-        still_active = []
-        for key in active:
-            rates[key] += increment * weight_of[key]
-            if not saturated.isdisjoint(link_sets[key]):
-                continue
-            still_active.append(key)
-        active = still_active
+        rates[active] += increment * weights[active]
+        frozen[owners[saturated[links]]] = True
+        keep = ~frozen[owners]
+        links = links[keep]
+        owners = owners[keep]
+        entry_weight = entry_weight[keep]
+        active = active[~frozen[active]]
 
     return rates

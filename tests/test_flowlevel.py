@@ -111,6 +111,23 @@ def test_matrix_rows_are_byte_identical_across_worker_counts() -> None:
     assert canonical_dumps(serial) == canonical_dumps(parallel)
 
 
+def test_early_stop_reports_only_the_traffic_it_simulated() -> None:
+    """A run cut short by ``max_events`` drains flows up to the simulator's
+    stop time, not to the horizon at their last rate."""
+    full = _tiny("mmptcp", FIDELITY_FLOW)
+    cut = _tiny("mmptcp", FIDELITY_FLOW, max_events=20)
+    assert cut.events_processed == 20
+    finished = sum(record.completed for record in cut.metrics.flows)
+    assert 0 < finished < len(cut.metrics.flows)
+    # The cut run simulated a prefix of the full one, so it cannot have
+    # carried more bits or loaded the core more.
+    assert cut.metrics.network.total_bytes_carried < full.metrics.network.total_bytes_carried
+    cut_core = cut.metrics.summary_dict()["core_utilisation"]
+    assert cut_core < full.metrics.summary_dict()["core_utilisation"]
+    delivered = sum(record.bytes_received for record in cut.metrics.flows)
+    assert delivered < sum(record.bytes_received for record in full.metrics.flows)
+
+
 # ---------------------------------------------------------------------------
 # Faults
 # ---------------------------------------------------------------------------
